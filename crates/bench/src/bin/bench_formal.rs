@@ -149,7 +149,10 @@ fn main() {
             EquivVerdict::Equivalent => cross_equivalent += 1,
             EquivVerdict::Unknown(_) => cross_unknown += 1,
             EquivVerdict::Counterexample(_) => {
-                panic!("{}: optimized netlist refuted against unoptimized", spec.name)
+                panic!(
+                    "{}: optimized netlist refuted against unoptimized",
+                    spec.name
+                )
             }
         }
     }
@@ -157,7 +160,10 @@ fn main() {
     let post_median = median(post_nodes);
 
     // Phase 2: refutation matrix through the cached oracle (cold).
-    eprintln!("running refutation matrix ({seeds} seeds x {} channels)...", 7);
+    eprintln!(
+        "running refutation matrix ({seeds} seeds x {} channels)...",
+        7
+    );
     let engine = Engine::new(EngineOptions::default());
     let oracle = FormalOracle::new(base.clone());
     let (mut equivalent, mut cex, mut unknown, mut unprepared) = (0usize, 0usize, 0usize, 0usize);
@@ -229,6 +235,9 @@ fn main() {
         "refutation matrix: {checks} checks in {matrix_s:.2} s ({checks_per_sec:.1} checks/s) — {equivalent} equivalent / {cex} counterexample / {unknown} unknown / {unprepared} unprepared"
     );
     println!("SAT core: {decisions} decisions, {conflicts} conflicts, {propagations} propagations");
-    println!("counterexample replay confirmation: {cex_confirmed}/{cex} ({:.1}%)", 100.0 * replay_rate);
+    println!(
+        "counterexample replay confirmation: {cex_confirmed}/{cex} ({:.1}%)",
+        100.0 * replay_rate
+    );
     println!("wrote {out_path}");
 }

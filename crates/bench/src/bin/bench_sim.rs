@@ -466,9 +466,9 @@ fn main() {
         ));
     }
     let median_tick_ratio = median(pass_rows.iter().map(PassRow::tick_ratio).collect());
-    let (ops_pre_total, ops_post_total) = pass_rows
-        .iter()
-        .fold((0usize, 0usize), |(p, q), r| (p + r.ops_pre, q + r.ops_post));
+    let (ops_pre_total, ops_post_total) = pass_rows.iter().fold((0usize, 0usize), |(p, q), r| {
+        (p + r.ops_pre, q + r.ops_post)
+    });
     let mut screen_json = Vec::new();
     for r in &screen_rows {
         screen_json.push(format!(

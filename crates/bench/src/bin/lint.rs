@@ -324,7 +324,9 @@ fn report(path: &str, source: &str, pretty: bool, dump_netlist: bool) -> (String
     if dump_netlist {
         if let Some(artifact) = &artifact {
             let cd = CompiledDesign::with_passes(artifact.design().clone(), PassConfig::full());
-            let nl = cd.netlist().expect("compiled design carries the netlist rung");
+            let nl = cd
+                .netlist()
+                .expect("compiled design carries the netlist rung");
             let uses = nl.use_counts();
             let levels = cell_levels(nl);
             let stats = cd.pass_stats();

@@ -202,7 +202,9 @@ fn main() {
     println!("Reading: the discriminating episodes (async probe without a clock edge, enable hold window, mid-tick checkpoint) are what make attribute-level hallucinations *observable*; a naive testbench would silently pass much of the taxonomy.");
     println!("Note: each corruption is applied to all five specimen designs; corruptions that only bite one design class (blocking → multi-stage pipelines, registered output → FSMs) correctly cap at the share of applicable specimens.");
 
-    println!("\nStimulus-miss recovery — naive-testbench false-passes re-judged by the formal oracle\n");
+    println!(
+        "\nStimulus-miss recovery — naive-testbench false-passes re-judged by the formal oracle\n"
+    );
     println!("{}", miss_table.render());
     println!(
         "Reading: of {total_misses} corrupted candidates the naive testbench false-passed, the formal oracle refuted {total_recovered} with replay-confirmed counterexamples — discrimination a finite stimulus program cannot buy without authoring exactly the right episode."

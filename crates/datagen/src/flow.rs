@@ -8,12 +8,12 @@ use haven_formal::{EquivOptions, EquivVerdict};
 use haven_spec::Spec;
 
 use crate::augment::{caption, match_exemplars, rewrite, verify_counted};
-use crate::pairs::InstructionCodePair;
 use crate::corpus::{self, CorpusConfig, CorpusSample};
 use crate::evolve::evolve_pairs;
 use crate::exemplars;
 use crate::logic::{self, LogicConfig};
 use crate::pairs::Dataset;
+use crate::pairs::InstructionCodePair;
 
 /// Flow parameters. Defaults reproduce the paper's 550k → 43k → 14k/5k
 /// funnel at 1:100 scale.

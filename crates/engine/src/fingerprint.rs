@@ -182,7 +182,11 @@ mod tests {
             netlist_pass_version: NETLIST_PASS_VERSION + 1,
             ..base()
         };
-        assert_ne!(k, repiped.key(), "pass-pipeline version must invalidate keys");
+        assert_ne!(
+            k,
+            repiped.key(),
+            "pass-pipeline version must invalidate keys"
+        );
     }
 
     #[test]

@@ -159,7 +159,11 @@ impl FormalOracle {
     /// The query options with a per-design reset protocol substituted
     /// in. Used by consumers whose preamble depends on the spec (the
     /// eval harness derives it from each task's reset episode).
-    pub fn options_with_preamble(&self, preamble: Vec<PreambleOp>, clock: Option<String>) -> EquivOptions {
+    pub fn options_with_preamble(
+        &self,
+        preamble: Vec<PreambleOp>,
+        clock: Option<String>,
+    ) -> EquivOptions {
         EquivOptions {
             preamble,
             clock,
@@ -237,10 +241,11 @@ impl FormalOracle {
 
     fn remember(&self, key: u64, outcome: &Arc<FormalOutcome>, persist: bool) {
         if self.capacity > 0 {
-            self.cache
-                .lock()
-                .expect("formal cache poisoned")
-                .insert(key, outcome.clone(), self.capacity);
+            self.cache.lock().expect("formal cache poisoned").insert(
+                key,
+                outcome.clone(),
+                self.capacity,
+            );
         }
         if !persist {
             return;
@@ -270,8 +275,9 @@ impl FormalOracle {
         let mut report = check_equiv(&g, &c, opts);
         let mut replay_confirmed = true;
         if let EquivVerdict::Counterexample(trace) = &report.verdict {
-            let confirmed = replay_cex(&g, &c, trace, opts.clock.as_deref())
-                .is_some_and(|m| m.output == trace.mismatch_output && m.step == trace.mismatch_step);
+            let confirmed = replay_cex(&g, &c, trace, opts.clock.as_deref()).is_some_and(|m| {
+                m.output == trace.mismatch_output && m.step == trace.mismatch_step
+            });
             if !confirmed {
                 report.verdict = EquivVerdict::Unknown(UnknownReason::ReplayUnconfirmed);
                 replay_confirmed = false;
@@ -486,9 +492,11 @@ mod tests {
     use super::*;
     use crate::{Engine, EngineOptions};
 
-    const ADD: &str = "module add(input [7:0] a, input [7:0] b, output [7:0] y);\n assign y = a + b;\nendmodule";
+    const ADD: &str =
+        "module add(input [7:0] a, input [7:0] b, output [7:0] y);\n assign y = a + b;\nendmodule";
     const ADD_BUG: &str = "module add(input [7:0] a, input [7:0] b, output [7:0] y);\n assign y = a + b + 8'd1;\nendmodule";
-    const ADD_ALT: &str = "module add(input [7:0] a, input [7:0] b, output [7:0] y);\n assign y = b + a;\nendmodule";
+    const ADD_ALT: &str =
+        "module add(input [7:0] a, input [7:0] b, output [7:0] y);\n assign y = b + a;\nendmodule";
 
     fn prepared(engine: &Engine, src: &str) -> Arc<Artifact> {
         engine.prepare(src).unwrap()
@@ -503,7 +511,10 @@ mod tests {
         let first = oracle.check(&g, &c);
         assert_eq!(first.report.verdict, EquivVerdict::Equivalent);
         let second = oracle.check(&g, &c);
-        assert!(Arc::ptr_eq(&first, &second), "warm check must share the outcome");
+        assert!(
+            Arc::ptr_eq(&first, &second),
+            "warm check must share the outcome"
+        );
         let s = oracle.stats();
         assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
     }
@@ -568,8 +579,8 @@ mod tests {
         for (a, b) in [(ADD, ADD_ALT), (ADD, ADD_BUG)] {
             let outcome = oracle.check(&prepared(&engine, a), &prepared(&engine, b));
             let encoded = encode_outcome(&outcome);
-            let decoded = decode_outcome(outcome.key, encoded.as_bytes())
-                .expect("encoding must round-trip");
+            let decoded =
+                decode_outcome(outcome.key, encoded.as_bytes()).expect("encoding must round-trip");
             assert_eq!(decoded, *outcome);
         }
         // A postamble-bearing trace (reset probe after the free steps)

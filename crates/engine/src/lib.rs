@@ -206,7 +206,8 @@ impl Engine {
                     skipped += 1;
                     continue;
                 };
-                let key = Artifact::key_for(source, options.backend, &options.budget, options.passes);
+                let key =
+                    Artifact::key_for(source, options.backend, &options.budget, options.passes);
                 if key != entry.key {
                     // Stale: written under a different analyzer version,
                     // pass pipeline, backend or budget. Never served.
@@ -579,8 +580,18 @@ mod tests {
         assert_eq!(unopt.stats().misses, 1, "re-keyed entry must rebuild");
         // And the two configurations never share an artifact key.
         assert_ne!(
-            Artifact::key_for(MUX, SimBackend::Compiled, &SimBudget::default(), PassConfig::full()),
-            Artifact::key_for(MUX, SimBackend::Compiled, &SimBudget::default(), PassConfig::none()),
+            Artifact::key_for(
+                MUX,
+                SimBackend::Compiled,
+                &SimBudget::default(),
+                PassConfig::full()
+            ),
+            Artifact::key_for(
+                MUX,
+                SimBackend::Compiled,
+                &SimBudget::default(),
+                PassConfig::none()
+            ),
         );
     }
 

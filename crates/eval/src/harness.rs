@@ -852,8 +852,10 @@ fn evaluate_sample(
     }
     let outcome = evaluate_source(engine, oracle, &source, task, cfg, stimuli, plan, fault);
     if memoized {
-        memo.verdicts
-            .insert(key, (outcome.verdict.clone(), outcome.gated, outcome.formal));
+        memo.verdicts.insert(
+            key,
+            (outcome.verdict.clone(), outcome.gated, outcome.formal),
+        );
     }
     outcome
 }
@@ -938,9 +940,7 @@ fn evaluate_source(
                         },
                         Some(FormalClass::Refuted),
                     ),
-                    haven_formal::EquivVerdict::Unknown(_) => {
-                        (verdict, Some(FormalClass::Unknown))
-                    }
+                    haven_formal::EquivVerdict::Unknown(_) => (verdict, Some(FormalClass::Unknown)),
                 },
                 // Either side failed to prepare — for a cosim-passing
                 // candidate that means the golden emission, which is a

@@ -347,7 +347,11 @@ impl<'a> Blaster<'a> {
             return Ok(());
         }
         let old0 = self.edge0[sig as usize];
-        let new0 = if value & 1 == 1 { Logic::One } else { Logic::Zero };
+        let new0 = if value & 1 == 1 {
+            Logic::One
+        } else {
+            Logic::Zero
+        };
         self.values[sig as usize] = new;
         self.edge0[sig as usize] = new0;
         let fired: Vec<u32> = self.cd.edge_woken()[sig as usize]
@@ -615,7 +619,11 @@ impl<'a> Blaster<'a> {
             let mut conj = Lit::TRUE;
             let mut taint = Lit::FALSE;
             for i in 0..w {
-                let lb = if i < lv.width() { lv.bit(i) } else { Logic::Zero };
+                let lb = if i < lv.width() {
+                    lv.bit(i)
+                } else {
+                    Logic::Zero
+                };
                 match (kind, lb) {
                     (CaseKind::Z, Logic::Z) => continue,
                     (CaseKind::X, Logic::X | Logic::Z) => continue,
@@ -632,7 +640,11 @@ impl<'a> Blaster<'a> {
                         taint = g.or(taint, sx);
                     }
                     Logic::Zero => {
-                        let m = if sx == Lit::FALSE { sb.not() } else { g.or(sb.not(), sx) };
+                        let m = if sx == Lit::FALSE {
+                            sb.not()
+                        } else {
+                            g.or(sb.not(), sx)
+                        };
                         conj = g.and(conj, m);
                         taint = g.or(taint, sx);
                     }
@@ -663,7 +675,13 @@ impl<'a> Blaster<'a> {
     /// evaluated now; constant bounds resolve exactly (including the
     /// silent drop of out-of-range writes), tainted bounds widen to a
     /// whole-signal taint, and genuinely symbolic bounds abort.
-    fn resolve(&mut self, g: &mut Aig, lhs: &CLval, value: SVal, out: &mut Vec<RWrite>) -> Result<()> {
+    fn resolve(
+        &mut self,
+        g: &mut Aig,
+        lhs: &CLval,
+        value: SVal,
+        out: &mut Vec<RWrite>,
+    ) -> Result<()> {
         let design = self.cd.design();
         match lhs {
             CLval::Whole(sig) => {
@@ -1261,7 +1279,14 @@ fn unary(g: &mut Aig, op: UnaryOp, a: &SVal) -> SVal {
                 }
                 (conj, g.and(anyx, defined_zero.not()))
             };
-            single(if op == UnaryOp::ReduceNand { v.not() } else { v }, t)
+            single(
+                if op == UnaryOp::ReduceNand {
+                    v.not()
+                } else {
+                    v
+                },
+                t,
+            )
         }
         UnaryOp::ReduceOr | UnaryOp::ReduceNor => {
             let (t, tx) = truthiness_pair(g, a);
@@ -1273,7 +1298,14 @@ fn unary(g: &mut Aig, op: UnaryOp, a: &SVal) -> SVal {
                 acc = g.xor(acc, b);
             }
             let t = or_taint(g, a);
-            single(if op == UnaryOp::ReduceXnor { acc.not() } else { acc }, t)
+            single(
+                if op == UnaryOp::ReduceXnor {
+                    acc.not()
+                } else {
+                    acc
+                },
+                t,
+            )
         }
         UnaryOp::Negate => {
             // The executor answers all-x on any unknown bit or width > 64.
@@ -1337,7 +1369,8 @@ fn binary(g: &mut Aig, op: BinaryOp, a: &SVal, b: &SVal) -> Result<SVal> {
                 let (ab, axi) = a.at(i);
                 let (bb, bxi) = b.at(i);
                 // A known-one operand bit absorbs any unknown.
-                if (axi == Lit::FALSE && ab == Lit::TRUE) || (bxi == Lit::FALSE && bb == Lit::TRUE) {
+                if (axi == Lit::FALSE && ab == Lit::TRUE) || (bxi == Lit::FALSE && bb == Lit::TRUE)
+                {
                     out.bits[i] = Lit::TRUE;
                     out.x[i] = Lit::FALSE;
                 } else {
@@ -1362,7 +1395,8 @@ fn binary(g: &mut Aig, op: BinaryOp, a: &SVal, b: &SVal) -> Result<SVal> {
                 let (ab, axi) = a.at(i);
                 let (bb, bxi) = b.at(i);
                 // A known-zero operand bit absorbs any unknown.
-                if (axi == Lit::FALSE && ab == Lit::FALSE) || (bxi == Lit::FALSE && bb == Lit::FALSE)
+                if (axi == Lit::FALSE && ab == Lit::FALSE)
+                    || (bxi == Lit::FALSE && bb == Lit::FALSE)
                 {
                     out.bits[i] = Lit::FALSE;
                     out.x[i] = Lit::FALSE;
@@ -1401,7 +1435,11 @@ fn binary(g: &mut Aig, op: BinaryOp, a: &SVal, b: &SVal) -> Result<SVal> {
                 let (bb, bxi) = b.at(i);
                 // Complementary literals differ under every valuation.
                 if axi == Lit::FALSE && bxi == Lit::FALSE && ab == bb.not() {
-                    let v = if op == BinaryOp::Neq { Lit::TRUE } else { Lit::FALSE };
+                    let v = if op == BinaryOp::Neq {
+                        Lit::TRUE
+                    } else {
+                        Lit::FALSE
+                    };
                     return Ok(single(v, Lit::FALSE));
                 }
             }
@@ -1418,7 +1456,10 @@ fn binary(g: &mut Aig, op: BinaryOp, a: &SVal, b: &SVal) -> Result<SVal> {
             let ta = or_taint(g, a);
             let tb = or_taint(g, b);
             let taint = g.or(ta, tb);
-            Ok(single(if op == BinaryOp::CaseNeq { e.not() } else { e }, taint))
+            Ok(single(
+                if op == BinaryOp::CaseNeq { e.not() } else { e },
+                taint,
+            ))
         }
         BinaryOp::Lt | BinaryOp::Le | BinaryOp::Gt | BinaryOp::Ge => {
             if ax || bx || w > 64 {
@@ -1548,7 +1589,11 @@ fn shift(g: &mut Aig, a: &SVal, b: &SVal, left: bool, arith: bool) -> Result<SVa
         let mut next = Vec::with_capacity(aw);
         for i in 0..aw {
             let shifted = if left {
-                if i >= amount { cur[i - amount] } else { Lit::FALSE }
+                if i >= amount {
+                    cur[i - amount]
+                } else {
+                    Lit::FALSE
+                }
             } else if i + amount < aw {
                 cur[i + amount]
             } else {
@@ -1558,10 +1603,7 @@ fn shift(g: &mut Aig, a: &SVal, b: &SVal, left: bool, arith: bool) -> Result<SVa
         }
         cur = next;
     }
-    let out_bits: Vec<Lit> = cur
-        .into_iter()
-        .map(|b| g.mux(overflow, fill, b))
-        .collect();
+    let out_bits: Vec<Lit> = cur.into_iter().map(|b| g.mux(overflow, fill, b)).collect();
     Ok(SVal {
         bits: out_bits,
         x: vec![Lit::FALSE; aw],

@@ -136,7 +136,9 @@ mod tests {
         assert_eq!(s.solve(10_000), SatResult::Sat);
         // Decode the model back to AIG inputs and re-simulate.
         let read = |l: Lit, s: &Solver| {
-            map.lit(l).map(|v| s.value(v.abs()) == (v > 0)).unwrap_or(false)
+            map.lit(l)
+                .map(|v| s.value(v.abs()) == (v > 0))
+                .unwrap_or(false)
         };
         let av = read(a, &s);
         let bv = read(b, &s);

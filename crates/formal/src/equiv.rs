@@ -358,7 +358,16 @@ pub fn check_equiv(
                 return EquivReport::undecided(UnknownReason::Unsupported(e.reason));
             }
         }
-        if let Err(r) = observe_outputs(&mut g, &bg, &bc, golden, candidate, &go, step, &mut obligations) {
+        if let Err(r) = observe_outputs(
+            &mut g,
+            &bg,
+            &bc,
+            golden,
+            candidate,
+            &go,
+            step,
+            &mut obligations,
+        ) {
             return r;
         }
     }
@@ -391,9 +400,16 @@ pub fn check_equiv(
         if let Err(e) = r {
             return EquivReport::undecided(UnknownReason::Unsupported(e.reason));
         }
-        if let Err(r) =
-            observe_outputs(&mut g, &bg, &bc, golden, candidate, &go, steps + i, &mut obligations)
-        {
+        if let Err(r) = observe_outputs(
+            &mut g,
+            &bg,
+            &bc,
+            golden,
+            candidate,
+            &go,
+            steps + i,
+            &mut obligations,
+        ) {
             return r;
         }
     }
@@ -565,10 +581,9 @@ fn decide(
                 None => {
                     // A model that triggers nothing would be a solver
                     // bug; refuse to guess rather than report wrongly.
-                    report.verdict =
-                        EquivVerdict::Unknown(UnknownReason::Unsupported(
-                            "SAT model triggers no obligation".into(),
-                        ));
+                    report.verdict = EquivVerdict::Unknown(UnknownReason::Unsupported(
+                        "SAT model triggers no obligation".into(),
+                    ));
                 }
             }
         }
@@ -584,7 +599,12 @@ fn decide(
 /// (taint UNSAT → `Equivalent`) or that some reachable input leaves it
 /// live (taint SAT → `Unknown`, because the executor's value there is
 /// outside the two-valued abstraction).
-fn resolve_taint(g: &Aig, opts: &EquivOptions, obligations: &[Obligation], report: &mut EquivReport) {
+fn resolve_taint(
+    g: &Aig,
+    opts: &EquivOptions,
+    obligations: &[Obligation],
+    report: &mut EquivReport,
+) {
     let possibly: Vec<&Obligation> = obligations
         .iter()
         .filter(|o| o.taint != Lit::FALSE)

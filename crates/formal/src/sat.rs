@@ -163,7 +163,10 @@ impl Solver {
         }
         // Drop literals already false at level 0; stop early on a literal
         // already true at level 0.
-        debug_assert!(self.trail_lim.is_empty(), "clauses are added before solving");
+        debug_assert!(
+            self.trail_lim.is_empty(),
+            "clauses are added before solving"
+        );
         let mut reduced = Vec::with_capacity(lits.len());
         for &l in &lits {
             match self.lit_value(l) {
@@ -192,7 +195,10 @@ impl Solver {
     /// Unassigned variables (outside every clause) read `false`.
     pub fn value(&self, var: i32) -> bool {
         debug_assert!(var > 0);
-        self.assign.get(var as usize - 1).map(|&a| a == 1).unwrap_or(false)
+        self.assign
+            .get(var as usize - 1)
+            .map(|&a| a == 1)
+            .unwrap_or(false)
     }
 
     #[inline]
@@ -334,7 +340,11 @@ impl Solver {
         for &q in &learnt {
             self.seen[ivar(q)] = false;
         }
-        let back = learnt.iter().map(|&q| self.level[ivar(q)]).max().unwrap_or(0);
+        let back = learnt
+            .iter()
+            .map(|&q| self.level[ivar(q)])
+            .max()
+            .unwrap_or(0);
         let mut clause = Vec::with_capacity(learnt.len() + 1);
         clause.push(asserting);
         // Position a literal of the backjump level second, so the watch
@@ -362,7 +372,9 @@ impl Solver {
         let mut best: Option<usize> = None;
         for v in 0..self.assign.len() {
             if self.assign[v] == UNASSIGNED
-                && best.map(|b| self.activity[v] > self.activity[b]).unwrap_or(true)
+                && best
+                    .map(|b| self.activity[v] > self.activity[b])
+                    .unwrap_or(true)
             {
                 best = Some(v);
             }

@@ -18,7 +18,10 @@ fn compiled(src: &str) -> Arc<CompiledDesign> {
 }
 
 fn sig(cd: &CompiledDesign, name: &str) -> u32 {
-    cd.design().signal(name).unwrap_or_else(|| panic!("no signal {name}")).0
+    cd.design()
+        .signal(name)
+        .unwrap_or_else(|| panic!("no signal {name}"))
+        .0
 }
 
 struct Xorshift(u64);
@@ -82,7 +85,11 @@ fn diff_sweep_comb(src: &str, rounds: usize, seed: u64) {
     let mut rng = Xorshift(seed | 1);
     for round in 0..rounds {
         for (name, width) in cd.design().input_ports() {
-            let mask = if width >= 64 { u64::MAX } else { (1u64 << width) - 1 };
+            let mask = if width >= 64 {
+                u64::MAX
+            } else {
+                (1u64 << width) - 1
+            };
             let v = rng.next() & mask;
             b.poke_const(&mut g, sig(&cd, &name), v).unwrap();
             sim.poke_u64(&name, v).unwrap();
@@ -197,7 +204,8 @@ endmodule";
     // Reset, then a random enable pattern.
     for (s, v) in [(rst, 1), (en, 0)] {
         b.poke_const(&mut g, s, v).unwrap();
-        sim.poke_u64(if s == rst { "rst" } else { "en" }, v).unwrap();
+        sim.poke_u64(if s == rst { "rst" } else { "en" }, v)
+            .unwrap();
     }
     b.tick(&mut g, clk).unwrap();
     sim.tick("clk").unwrap();
@@ -271,7 +279,11 @@ endmodule";
             let mut sim = CompiledSim::new(Arc::clone(&cd)).unwrap();
             sim.poke_u64("a", av).unwrap();
             sim.poke_u64("b", bv).unwrap();
-            assert_eq!(formal, sim.peek("s").unwrap().to_u64().unwrap(), "a={av} b={bv}");
+            assert_eq!(
+                formal,
+                sim.peek("s").unwrap().to_u64().unwrap(),
+                "a={av} b={bv}"
+            );
         }
     }
 }
@@ -283,7 +295,10 @@ fn identical_designs_fold_structurally() {
 endmodule";
     let report = check_equiv(&compiled(src), &compiled(src), &EquivOptions::default());
     assert_eq!(report.verdict, EquivVerdict::Equivalent);
-    assert!(report.structural, "shared strash must fold identical designs");
+    assert!(
+        report.structural,
+        "shared strash must fold identical designs"
+    );
 }
 
 #[test]
@@ -384,7 +399,11 @@ fn buggy_counter_caught_by_unrolling_and_replayed() {
         panic!("expected a counterexample, got {:?}", report.verdict);
     };
     // Reaching q == 2 needs three enabled cycles: a real multi-step cex.
-    assert!(trace.mismatch_step >= 2, "mismatch at step {}", trace.mismatch_step);
+    assert!(
+        trace.mismatch_step >= 2,
+        "mismatch at step {}",
+        trace.mismatch_step
+    );
     let m = replay_cex(&golden, &cand, trace, Some("clk")).expect("must replay");
     assert_eq!(m.output, "q");
     assert_eq!(m.step, trace.mismatch_step);

@@ -22,9 +22,9 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use haven_engine::{Engine as CompileEngine, EngineFingerprint, EngineOptions, FormalOracle};
-use haven_formal::{EquivOptions, EquivVerdict};
 use haven_eval::fault::{corrupt_source, FaultKind, ServeFaultKind};
 use haven_eval::FaultPlan;
+use haven_formal::{EquivOptions, EquivVerdict};
 use haven_lm::model::CodeGenModel;
 use haven_lm::perception::perceive;
 use haven_sicot::SiCot;

@@ -88,9 +88,9 @@ pub fn formal_check(
 mod tests {
     use super::*;
     use crate::builders;
-    use haven_verilog::analyze::ResetKind;
     use haven_engine::EngineOptions;
     use haven_formal::EquivVerdict;
+    use haven_verilog::analyze::ResetKind;
 
     fn rig() -> (Engine, FormalOracle) {
         (

@@ -243,7 +243,11 @@ fn optimized_artifacts_shrink_and_carry_the_netlist_rung() {
             total_ops(ocd),
             total_ops(ucd)
         );
-        assert!(opt.netlist().is_some(), "{}: netlist rung missing", spec.name);
+        assert!(
+            opt.netlist().is_some(),
+            "{}: netlist rung missing",
+            spec.name
+        );
         let stats = opt.pass_stats().expect("compiled backend has pass stats");
         assert!(stats.rounds >= 1, "{}: pipeline never ran", spec.name);
     }

@@ -414,12 +414,7 @@ fn remap_stmt(s: CStmt, map: &[ExprId]) -> CStmt {
             expr: m(expr),
             arms: arms
                 .into_iter()
-                .map(|(labels, body)| {
-                    (
-                        labels.into_iter().map(m).collect(),
-                        remap_stmt(body, map),
-                    )
-                })
+                .map(|(labels, body)| (labels.into_iter().map(m).collect(), remap_stmt(body, map)))
                 .collect(),
             default: default.map(|d| Box::new(remap_stmt(*d, map))),
         },

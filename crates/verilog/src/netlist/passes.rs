@@ -415,10 +415,8 @@ fn fold_cell(rb: &mut Rebuilder, kind: &CellKind) -> Option<CellId> {
             None
         }
         CellKind::Concat(parts) => {
-            let consts: Option<Vec<LogicVec>> = parts
-                .iter()
-                .map(|&p| rb.out.const_of(p).cloned())
-                .collect();
+            let consts: Option<Vec<LogicVec>> =
+                parts.iter().map(|&p| rb.out.const_of(p).cloned()).collect();
             let vals = consts?;
             // Mirror the evaluator: fold from the least significant
             // (last) part outward.
@@ -458,12 +456,7 @@ fn fold_cell(rb: &mut Rebuilder, kind: &CellKind) -> Option<CellId> {
 /// Identity/absorption rules for a binary cell with at least one constant
 /// operand. Soundness notes inline — every accepted rule is exact over
 /// all four-state inputs, including width effects of zero-extension.
-fn fold_binary_identity(
-    rb: &mut Rebuilder,
-    op: BinaryOp,
-    a: CellId,
-    b: CellId,
-) -> Option<CellId> {
+fn fold_binary_identity(rb: &mut Rebuilder, op: BinaryOp, a: CellId, b: CellId) -> Option<CellId> {
     // Orient so `c` is the constant side (commutative ops may carry it on
     // either side even after normalization, since order is by cell id).
     let (x, c, cv) = match (rb.out.const_of(a), rb.out.const_of(b)) {
@@ -674,8 +667,7 @@ fn rebalance(src: &Netlist) -> (Netlist, u64) {
                 };
                 if leaves.len() >= 4 && widths_ok {
                     fired += 1;
-                    let mapped: Vec<CellId> =
-                        leaves.iter().map(|&l| rb.map[l as usize]).collect();
+                    let mapped: Vec<CellId> = leaves.iter().map(|&l| rb.map[l as usize]).collect();
                     balanced(&mut rb, *op, &mapped)
                 } else {
                     let mapped = rb.mapped(kind);
@@ -728,9 +720,9 @@ fn balanced(rb: &mut Rebuilder, op: BinaryOp, leaves: &[CellId]) -> CellId {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::netlist::build;
     use crate::compile::CompiledDesign;
     use crate::elab::compile;
+    use crate::netlist::build;
 
     fn optimized(src: &str, config: PassConfig) -> (Netlist, PassStats) {
         let d = compile(src).unwrap();
@@ -793,7 +785,10 @@ mod tests {
             "module m(input [3:0] a, output [3:0] y);\n assign y = a & 2'b11;\nendmodule",
             PassConfig::full(),
         );
-        assert!(matches!(root_kind(&nl, 0), CellKind::Binary(BinaryOp::BitAnd, _, _)));
+        assert!(matches!(
+            root_kind(&nl, 0),
+            CellKind::Binary(BinaryOp::BitAnd, _, _)
+        ));
     }
 
     #[test]
