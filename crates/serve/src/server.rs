@@ -99,6 +99,7 @@ struct QueueState {
 /// A popped job's entry in the watchdog registry. Whoever wins the
 /// `claimed` CAS — the worker finishing the pipeline, or the watchdog
 /// declaring it stalled — delivers the one and only terminal reply.
+#[derive(Clone)]
 struct Inflight {
     claimed: Arc<AtomicBool>,
     reply_to: Sender<ServeReply>,
@@ -424,24 +425,16 @@ fn watchdog_loop(shared: &Arc<Shared>, stall: Duration) {
                 return;
             }
         }
-        let stalled: Vec<(u64, Arc<AtomicBool>, Sender<ServeReply>, String, Instant)> = {
+        let stalled: Vec<(u64, Inflight)> = {
             let registry = shared.inflight.lock().expect("inflight lock poisoned");
             registry
                 .iter()
                 .filter(|(_, e)| e.started.elapsed() >= stall)
-                .map(|(&serial, e)| {
-                    (
-                        serial,
-                        e.claimed.clone(),
-                        e.reply_to.clone(),
-                        e.id.clone(),
-                        e.started,
-                    )
-                })
+                .map(|(&serial, e)| (serial, e.clone()))
                 .collect()
         };
-        for (serial, claimed, reply_to, id, started) in stalled {
-            if claimed.swap(true, Ordering::SeqCst) {
+        for (serial, entry) in stalled {
+            if entry.claimed.swap(true, Ordering::SeqCst) {
                 continue; // The worker delivered in the meantime.
             }
             shared
@@ -451,9 +444,9 @@ fn watchdog_loop(shared: &Arc<Shared>, stall: Duration) {
                 .remove(&serial);
             Metrics::inc(&shared.metrics.failed);
             Metrics::inc(&shared.metrics.watchdog_recycles);
-            let elapsed_ms = started.elapsed().as_millis() as u64;
-            let _ = reply_to.send(ServeReply {
-                id,
+            let elapsed_ms = entry.started.elapsed().as_millis() as u64;
+            let _ = entry.reply_to.send(ServeReply {
+                id: entry.id,
                 outcome: ServeOutcome::Failed {
                     detail: format!(
                         "watchdog: worker stalled for {elapsed_ms} ms; \
@@ -463,7 +456,7 @@ fn watchdog_loop(shared: &Arc<Shared>, stall: Duration) {
                 cache_hit: false,
                 sicot_steps: 0,
                 trace: RequestTrace {
-                    total_us: started.elapsed().as_micros() as u64,
+                    total_us: entry.started.elapsed().as_micros() as u64,
                     ..RequestTrace::default()
                 },
             });
