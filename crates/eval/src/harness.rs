@@ -16,6 +16,8 @@
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 use haven_lm::model::CodeGenModel;
 use haven_lm::profiles::ModelProfile;
@@ -150,7 +152,8 @@ pub struct EvalConfig {
     pub temperatures: Vec<f64>,
     /// Prompt refinement mode.
     pub sicot: SicotMode,
-    /// Worker threads (tasks are sharded across them).
+    /// Worker threads (tasks are dealt one at a time; each runs every
+    /// temperature).
     pub threads: usize,
     /// Run the dataflow static analyzer on each compiled sample and skip
     /// co-simulation for candidates with Error-severity findings (they are
@@ -239,7 +242,7 @@ impl EvalConfig {
 }
 
 /// Outcome of one task under one temperature.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TaskResult {
     /// Task id.
     pub task_id: String,
@@ -286,17 +289,8 @@ impl TaskResult {
         TaskResult {
             task_id: task_id.into(),
             n,
-            c_syntax: 0,
-            c_func: 0,
-            skipped_sims: 0,
             faults: n,
-            exhausted: 0,
-            retries: 0,
-            dedup_hits: 0,
-            formal_checked: 0,
-            formal_equivalent: 0,
-            formal_refuted: 0,
-            formal_unknown: 0,
+            ..TaskResult::default()
         }
     }
 }
@@ -452,7 +446,8 @@ pub fn evaluate(
     cfg: &EvalConfig,
 ) -> Result<SuiteResult, EvalError> {
     cfg.validate()?;
-    run_sweep(profile, tasks, cfg, None).ok_or(EvalError::NoTemperatures)
+    let engine = Engine::new(engine_options(cfg));
+    run_sweep(&engine, profile, tasks, cfg, None, &TaskPlan::new)
 }
 
 /// Evaluates `profile` on `tasks`, journaling completed task results to
@@ -485,134 +480,140 @@ pub fn evaluate_resumable(
         None => HashMap::new(),
     };
     let writer = JournalWriter::open(journal_path, &header)?;
-    run_sweep(profile, tasks, cfg, Some((&done, &writer))).ok_or(EvalError::NoTemperatures)
+    let engine = Engine::new(engine_options(cfg));
+    run_sweep(
+        &engine,
+        profile,
+        tasks,
+        cfg,
+        Some((&done, &writer)),
+        &TaskPlan::new,
+    )
 }
 
 /// Results already on disk, keyed by `(temperature bits, task id)`.
 type DoneMap = HashMap<(u64, String), TaskResult>;
 
-fn run_sweep(
-    profile: &ModelProfile,
-    tasks: &[BenchTask],
-    cfg: &EvalConfig,
-    journal: Option<(&DoneMap, &JournalWriter)>,
-) -> Option<SuiteResult> {
-    // One engine for the whole sweep: the artifact cache is shared by
-    // every worker thread, task and temperature, so a source generated
-    // twice anywhere in the run compiles once.
-    let engine = Engine::new(EngineOptions {
+/// The options of the one engine a sweep shares across every worker,
+/// task and temperature, so a source generated twice anywhere in the run
+/// compiles once while it stays cached.
+fn engine_options(cfg: &EvalConfig) -> EngineOptions {
+    EngineOptions {
         backend: cfg.backend,
         budget: cfg.budget,
         cache_capacity: cfg.artifact_cache,
         ..EngineOptions::default()
-    });
+    }
+}
+
+/// The candidate-independent half of a task's evaluation: its stimulus
+/// program and the golden sweep batched from it. Both depend on the task
+/// alone, so a sweep builds them once and screens every sample at every
+/// temperature through them.
+struct TaskPlan {
+    stimuli: haven_spec::stimuli::Stimuli,
+    batch: BatchPlan,
+}
+
+impl TaskPlan {
+    fn new(task: &BenchTask) -> TaskPlan {
+        let stimuli = stimuli_for(&task.spec, task.stim_seed);
+        let batch = BatchPlan::new(&task.spec, &stimuli);
+        TaskPlan { stimuli, batch }
+    }
+}
+
+/// Runs the sweep task-major: workers claim tasks one at a time from a
+/// shared index and run each at every temperature back to back, so the
+/// task's plan is built once and the sources a temperature regenerates
+/// still find their compiled artifacts in the engine cache.
+fn run_sweep(
+    engine: &Engine,
+    profile: &ModelProfile,
+    tasks: &[BenchTask],
+    cfg: &EvalConfig,
+    journal: Option<(&DoneMap, &JournalWriter)>,
+    plan_task: &(dyn Fn(&BenchTask) -> TaskPlan + Sync),
+) -> Result<SuiteResult, EvalError> {
     // One oracle for the whole sweep, like the engine: its outcome LRU
     // is keyed by (golden, candidate, options) content, so a pair judged
     // at one temperature replays at every other.
     let oracle = cfg
         .formal_oracle
         .then(|| FormalOracle::new(EquivOptions::default()));
-    let mut best: Option<(f64, f64, Vec<TaskResult>)> = None;
-    for &temp in &cfg.temperatures {
-        let results = match journal {
-            None => run_at_temperature(&engine, oracle.as_ref(), profile, tasks, cfg, temp, None),
-            Some((done, writer)) => {
-                let missing: Vec<BenchTask> = tasks
-                    .iter()
-                    .filter(|t| !done.contains_key(&(temp.to_bits(), t.id.clone())))
-                    .cloned()
-                    .collect();
-                let on_task = |r: &TaskResult| writer.append(temp, r);
-                let fresh = run_at_temperature(
-                    &engine,
-                    oracle.as_ref(),
-                    profile,
-                    &missing,
-                    cfg,
-                    temp,
-                    Some(&on_task),
-                );
-                let mut fresh_by_id: HashMap<String, TaskResult> =
-                    fresh.into_iter().map(|r| (r.task_id.clone(), r)).collect();
-                tasks
-                    .iter()
-                    .map(|t| {
-                        done.get(&(temp.to_bits(), t.id.clone()))
-                            .cloned()
-                            .or_else(|| fresh_by_id.remove(&t.id))
-                            .unwrap_or_else(|| TaskResult::faulted(&t.id, cfg.n))
-                    })
-                    .collect()
+    // Runs `task` at every temperature the journal does not hold yet,
+    // journaling each fresh result; a task whose worker died (`alive`
+    // false) is recorded as faulted instead.
+    let sweep_task = |task: &BenchTask, alive: bool| -> Vec<TaskResult> {
+        let mut plan = None;
+        let mut results = Vec::with_capacity(cfg.temperatures.len());
+        for &temp in &cfg.temperatures {
+            let held = journal.and_then(|(done, _)| done.get(&(temp.to_bits(), task.id.clone())));
+            if let Some(r) = held {
+                results.push(r.clone());
+                continue;
             }
-        };
-        let counts: Vec<(usize, usize)> = results.iter().map(|t| (t.n, t.c_func)).collect();
-        let p1 = mean_pass_at_k(&counts, 1);
-        if best.as_ref().is_none_or(|(_, bp, _)| p1 > *bp) {
-            best = Some((temp, p1, results));
+            // Per-task isolation: a panic that escapes the per-sample layer
+            // quarantines this task, not the worker: at this temperature
+            // (e.g. in prompt refinement), or at every one (in planning).
+            let plan = plan.get_or_insert_with(|| {
+                alive.then(|| catch_unwind(AssertUnwindSafe(|| plan_task(task))).ok())?
+            });
+            let r = plan
+                .as_ref()
+                .and_then(|plan| {
+                    catch_unwind(AssertUnwindSafe(|| {
+                        run_task(engine, oracle.as_ref(), profile, task, cfg, temp, plan)
+                    }))
+                    .ok()
+                })
+                .unwrap_or_else(|| TaskResult::faulted(&task.id, cfg.n));
+            if let Some((_, writer)) = journal {
+                writer.append(temp, &r);
+            }
+            results.push(r);
         }
-    }
-    best.map(|(best_temperature, _, tasks)| SuiteResult {
-        model: profile.name.clone(),
-        best_temperature,
-        tasks,
-        batch: EvalBatchStats::from_engine(engine.batch_stats()),
-    })
-}
-
-fn run_at_temperature(
-    engine: &Engine,
-    oracle: Option<&FormalOracle>,
-    profile: &ModelProfile,
-    tasks: &[BenchTask],
-    cfg: &EvalConfig,
-    temperature: f64,
-    on_task: Option<&(dyn Fn(&TaskResult) + Sync)>,
-) -> Vec<TaskResult> {
-    let threads = cfg.threads.max(1).min(tasks.len().max(1));
-    let chunk = tasks.len().div_ceil(threads);
-    let mut out: Vec<TaskResult> = Vec::with_capacity(tasks.len());
+        results
+    };
+    let slots: Vec<OnceLock<Vec<TaskResult>>> = tasks.iter().map(|_| OnceLock::new()).collect();
+    let next = AtomicUsize::new(0);
     std::thread::scope(|scope| {
-        let handles: Vec<(&[BenchTask], _)> = tasks
-            .chunks(chunk.max(1))
-            .map(|shard| {
-                let handle = scope.spawn(move || {
-                    shard
-                        .iter()
-                        .map(|t| {
-                            // Per-task isolation: a panic that escapes the
-                            // per-sample layer (e.g. in prompt refinement)
-                            // quarantines this task, not the shard.
-                            let r = catch_unwind(AssertUnwindSafe(|| {
-                                run_task(engine, oracle, profile, t, cfg, temperature)
-                            }))
-                            .unwrap_or_else(|_| TaskResult::faulted(&t.id, cfg.n));
-                            if let Some(cb) = on_task {
-                                cb(&r);
-                            }
-                            r
-                        })
-                        .collect::<Vec<TaskResult>>()
-                });
-                (shard, handle)
+        let workers: Vec<_> = (0..cfg.threads.max(1).min(tasks.len().max(1)))
+            .map(|_| {
+                scope.spawn(|| loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(task) = tasks.get(i) else { break };
+                    let _ = slots[i].set(sweep_task(task, true));
+                })
             })
             .collect();
-        for (shard, h) in handles {
-            match h.join() {
-                Ok(results) => out.extend(results),
-                // A worker died in a way even catch_unwind could not
-                // absorb (e.g. a panic while panicking). The suite must
-                // survive: record every task of the shard as faulted.
-                Err(_) => out.extend(shard.iter().map(|t| {
-                    let r = TaskResult::faulted(&t.id, cfg.n);
-                    if let Some(cb) = on_task {
-                        cb(&r);
-                    }
-                    r
-                })),
-            }
+        for worker in workers {
+            // A worker that died in a way even catch_unwind could not
+            // absorb loses only the task it held, which leaves its slot
+            // empty; the survivors keep claiming the rest.
+            let _ = worker.join();
         }
     });
-    out
+    let results: Vec<Vec<TaskResult>> = tasks
+        .iter()
+        .zip(slots)
+        .map(|(task, slot)| slot.into_inner().unwrap_or_else(|| sweep_task(task, false)))
+        .collect();
+    let mut best: Option<(usize, f64)> = None;
+    for i in 0..cfg.temperatures.len() {
+        let counts: Vec<(usize, usize)> = results.iter().map(|r| (r[i].n, r[i].c_func)).collect();
+        let p1 = mean_pass_at_k(&counts, 1);
+        if best.is_none_or(|(_, bp)| p1 > bp) {
+            best = Some((i, p1));
+        }
+    }
+    let (i, _) = best.ok_or(EvalError::NoTemperatures)?;
+    Ok(SuiteResult {
+        model: profile.name.clone(),
+        best_temperature: cfg.temperatures[i],
+        tasks: results.into_iter().map(|mut r| r.swap_remove(i)).collect(),
+        batch: EvalBatchStats::from_engine(engine.batch_stats()),
+    })
 }
 
 /// What one attempt at one sample produced.
@@ -684,6 +685,7 @@ fn run_task(
     task: &BenchTask,
     cfg: &EvalConfig,
     temperature: f64,
+    plan: &TaskPlan,
 ) -> TaskResult {
     // The structured fingerprint of everything besides the source that
     // shapes a verdict; folded into every memo key so a config change
@@ -708,21 +710,11 @@ fn run_task(
             SiCot::new(refiner).refine(&task.prompt, &task.id).text
         }
     };
-    let stimuli = stimuli_for(&task.spec, task.stim_seed);
-    // One batch plan per task: every candidate sample shares this task's
-    // stimulus program, so the golden-model sweep and lane transposition
-    // are paid once, not per sample.
-    let plan = BatchPlan::new(&task.spec, &stimuli);
-    let mut c_syntax = 0usize;
-    let mut c_func = 0usize;
-    let mut skipped_sims = 0usize;
-    let mut faults = 0usize;
-    let mut exhausted = 0usize;
-    let mut retries = 0usize;
-    let mut formal_checked = 0usize;
-    let mut formal_equivalent = 0usize;
-    let mut formal_refuted = 0usize;
-    let mut formal_unknown = 0usize;
+    let mut r = TaskResult {
+        task_id: task.id.clone(),
+        n: cfg.n,
+        ..TaskResult::default()
+    };
     let mut memo = TaskMemo::default();
     for sample in 0..cfg.n {
         let mut attempt = 0usize;
@@ -737,8 +729,7 @@ fn run_task(
                     task,
                     cfg,
                     temperature,
-                    &stimuli,
-                    &plan,
+                    plan,
                     sample,
                     attempt,
                     &mut memo,
@@ -755,47 +746,28 @@ fn run_task(
                 break o;
             }
             cfg.retry.backoff(attempt);
-            retries += 1;
+            r.retries += 1;
             attempt += 1;
         };
-        if outcome.gated {
-            skipped_sims += 1;
-        }
-        if outcome.verdict.syntax_ok() {
-            c_syntax += 1;
-        }
-        if outcome.verdict.functional_ok() {
-            c_func += 1;
-        }
+        r.skipped_sims += usize::from(outcome.gated);
+        r.c_syntax += usize::from(outcome.verdict.syntax_ok());
+        r.c_func += usize::from(outcome.verdict.functional_ok());
         match &outcome.verdict {
-            Verdict::HarnessFault(_) => faults += 1,
-            Verdict::ResourceExhausted(_) => exhausted += 1,
+            Verdict::HarnessFault(_) => r.faults += 1,
+            Verdict::ResourceExhausted(_) => r.exhausted += 1,
             _ => {}
         }
         if let Some(class) = outcome.formal {
-            formal_checked += 1;
+            r.formal_checked += 1;
             match class {
-                FormalClass::Equivalent => formal_equivalent += 1,
-                FormalClass::Refuted => formal_refuted += 1,
-                FormalClass::Unknown => formal_unknown += 1,
+                FormalClass::Equivalent => r.formal_equivalent += 1,
+                FormalClass::Refuted => r.formal_refuted += 1,
+                FormalClass::Unknown => r.formal_unknown += 1,
             }
         }
     }
-    TaskResult {
-        task_id: task.id.clone(),
-        n: cfg.n,
-        c_syntax,
-        c_func,
-        skipped_sims,
-        faults,
-        exhausted,
-        retries,
-        dedup_hits: memo.hits,
-        formal_checked,
-        formal_equivalent,
-        formal_refuted,
-        formal_unknown,
-    }
+    r.dedup_hits = memo.hits;
+    r
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -808,8 +780,7 @@ fn evaluate_sample(
     task: &BenchTask,
     cfg: &EvalConfig,
     temperature: f64,
-    stimuli: &haven_spec::stimuli::Stimuli,
-    plan: &BatchPlan,
+    plan: &TaskPlan,
     sample: usize,
     attempt: usize,
     memo: &mut TaskMemo,
@@ -850,7 +821,7 @@ fn evaluate_sample(
             };
         }
     }
-    let outcome = evaluate_source(engine, oracle, &source, task, cfg, stimuli, plan, fault);
+    let outcome = evaluate_source(engine, oracle, &source, task, cfg, plan, fault);
     if memoized {
         memo.verdicts.insert(
             key,
@@ -863,15 +834,13 @@ fn evaluate_sample(
 /// The deterministic tail of sample evaluation: everything downstream of
 /// the generated source (engine prepare → static gate → co-simulation →
 /// optional formal equivalence check on a cosim pass).
-#[allow(clippy::too_many_arguments)]
 fn evaluate_source(
     engine: &Engine,
     oracle: Option<&FormalOracle>,
     source: &str,
     task: &BenchTask,
     cfg: &EvalConfig,
-    stimuli: &haven_spec::stimuli::Stimuli,
-    plan: &BatchPlan,
+    plan: &TaskPlan,
     fault: Option<FaultKind>,
 ) -> SampleOutcome {
     // One engine prepare climbs the whole ladder (parse → elaborate →
@@ -915,8 +884,15 @@ fn evaluate_source(
     // program or artifact does not qualify. Verdicts are bit-identical
     // either way — pinned by the backend-equivalence test below and the
     // differential suite in crates/spec.
-    let verdict =
-        cosimulate_batch_planned(&task.spec, engine, &artifact, stimuli, &options, plan).verdict;
+    let verdict = cosimulate_batch_planned(
+        &task.spec,
+        engine,
+        &artifact,
+        &plan.stimuli,
+        &options,
+        &plan.batch,
+    )
+    .verdict;
 
     // Formal rung: only cosim passes are worth a proof attempt — every
     // other verdict already names a concrete failure. A replay-confirmed
@@ -1252,6 +1228,64 @@ mod tests {
             r.dedup_hits() > 0,
             "identical generations should hit the cache"
         );
+    }
+
+    #[test]
+    fn sweep_compiles_each_source_once_and_plans_each_task_once() {
+        use std::collections::HashSet;
+        // Every task's distinct sources fit the cache a few times over,
+        // the whole suite's do not: only task-major order keeps a
+        // source cached until the next temperature regenerates it.
+        let suite: Vec<_> = suites::verilog_eval_machine(1)
+            .into_iter()
+            .take(24)
+            .collect();
+        let profile = ModelProfile::uniform("mid", 0.6);
+        let cfg = EvalConfig {
+            n: 6,
+            temperatures: vec![0.2, 0.5, 0.8],
+            threads: 2,
+            ..EvalConfig::default()
+        };
+        // A compiling source is cached, so the bound allows it one miss
+        // per task; a failing one misses once per temperature that
+        // generates it (the memo folds repeats within a temperature).
+        let probe = Engine::uncached(cfg.backend, cfg.budget);
+        let (mut compiling, mut failing, mut widest) = (0, 0, 0);
+        for task in &suite {
+            let mut ok = HashSet::new();
+            for &temp in &cfg.temperatures {
+                let model = CodeGenModel::new(profile.clone(), temp);
+                let sources: HashSet<_> = (0..cfg.n)
+                    .map(|s| model.generate(&task.prompt, &task.id, s))
+                    .collect();
+                let (pass, fail): (Vec<_>, Vec<_>) =
+                    sources.into_iter().partition(|s| probe.prepare(s).is_ok());
+                failing += fail.len();
+                ok.extend(pass);
+            }
+            compiling += ok.len();
+            widest = widest.max(ok.len());
+        }
+        let engine = Engine::new(EngineOptions {
+            cache_capacity: 4 * widest,
+            ..engine_options(&cfg)
+        });
+        assert!(compiling > engine.stats().capacity, "suite fits the cache");
+
+        let plans = AtomicUsize::new(0);
+        let count_plans = |task: &BenchTask| {
+            plans.fetch_add(1, Ordering::Relaxed);
+            TaskPlan::new(task)
+        };
+        let r = run_sweep(&engine, &profile, &suite, &cfg, None, &count_plans).unwrap();
+        assert_eq!(r, evaluate(&profile, &suite, &cfg).unwrap());
+        let stats = engine.stats();
+        assert!(
+            stats.misses as usize <= compiling + failing,
+            "{stats:?}: {compiling} compiling and {failing} failing sources"
+        );
+        assert_eq!(plans.into_inner(), suite.len(), "one plan per task");
     }
 
     #[test]

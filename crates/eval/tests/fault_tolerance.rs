@@ -181,6 +181,48 @@ fn resumable_run_matches_uninterrupted_run() {
 }
 
 #[test]
+fn resume_from_a_task_held_at_only_some_temperatures() {
+    // Workers run a task at every temperature back to back, so a kill
+    // can leave a task journaled at some temperatures but not others.
+    let suite = small_suite();
+    let profile = ModelProfile::uniform("mid", 0.6);
+    let cfg = EvalConfig {
+        temperatures: vec![0.2, 0.5, 0.8],
+        ..base_cfg()
+    };
+    let uninterrupted = evaluate(&profile, &suite, &cfg).unwrap();
+    let path = tmp("partial-task");
+    let _ = std::fs::remove_file(&path);
+    evaluate_resumable(&profile, &suite, &cfg, &path).unwrap();
+
+    // Keep the first three tasks whole, the fourth at 0.2 and 0.8 only,
+    // and nothing of the rest.
+    let kept: Vec<&str> = suite.iter().take(4).map(|t| t.id.as_str()).collect();
+    let middle = format!("t={:016x}", 0.5f64.to_bits());
+    let text = std::fs::read_to_string(&path).unwrap();
+    let mut lines = text.lines();
+    let mut partial = vec![lines.next().unwrap()];
+    partial.extend(lines.filter(|line| {
+        let mut fields = line.split('\t');
+        let (t, id) = (fields.next().unwrap(), fields.next().unwrap());
+        match kept.iter().position(|k| id == format!("id={k}")) {
+            Some(3) => t != middle,
+            Some(_) => true,
+            None => false,
+        }
+    }));
+    assert_eq!(partial.len(), 1 + 3 * 3 + 2);
+    std::fs::write(&path, format!("{}\n", partial.join("\n"))).unwrap();
+
+    let resumed = evaluate_resumable(&profile, &suite, &cfg, &path).unwrap();
+    assert_eq!(resumed, uninterrupted);
+    // Only the missing (task, temperature) pairs ran and were journaled.
+    let total = std::fs::read_to_string(&path).unwrap().lines().count();
+    assert_eq!(total, 1 + suite.len() * 3);
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
 fn resume_under_transient_faults_still_matches() {
     let suite = small_suite();
     let profile = ModelProfile::uniform("mid", 0.6);

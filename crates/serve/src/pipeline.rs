@@ -440,26 +440,29 @@ impl Engine {
                     Ok(g) => g,
                     Err(poisoned) => poisoned.into_inner(),
                 };
-                if set.insert(cache_key) {
+                let leader = set.insert(cache_key);
+                if leader {
                     drop(set);
                     _flight = Some(FlightGuard {
                         key: cache_key,
                         inflight: &self.inflight,
                         cv: &self.inflight_cv,
                     });
-                    break;
+                } else {
+                    if let Err(r) = clock.check(Stage::Generate) {
+                        return deadline(r, sicot_steps, trace);
+                    }
+                    // Bounded nap: wake on the leader's notify, or shortly
+                    // anyway in case the notify raced past before we parked.
+                    let wait = clock.remaining().min(Duration::from_millis(25));
+                    let parked = self
+                        .inflight_cv
+                        .wait_timeout(set, wait)
+                        .unwrap_or_else(|poisoned| poisoned.into_inner());
+                    drop(parked);
                 }
-                if let Err(r) = clock.check(Stage::Generate) {
-                    return deadline(r, sicot_steps, trace);
-                }
-                // Bounded nap: wake on the leader's notify, or shortly
-                // anyway in case the notify raced past before we parked.
-                let wait = clock.remaining().min(Duration::from_millis(25));
-                let parked = self
-                    .inflight_cv
-                    .wait_timeout(set, wait)
-                    .unwrap_or_else(|poisoned| poisoned.into_inner());
-                drop(parked);
+                // A new leader checks too: the previous one may have filled
+                // the cache and left between the lookup above and the insert.
                 if let Some(hit) = self.cache.get(cache_key) {
                     Metrics::inc(&self.metrics.coalesced);
                     return Attempt {
@@ -469,6 +472,9 @@ impl Engine {
                         trace,
                         store_write_failed: false,
                     };
+                }
+                if leader {
+                    break;
                 }
             }
         }
