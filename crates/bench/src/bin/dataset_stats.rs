@@ -174,13 +174,14 @@ fn main() {
     }
     println!("{}", t2.render());
 
-    // Step-8 verification cost: the wall-times the flow recorded (the
-    // production path, compiled backend) plus an interpreter-vs-compiled
-    // before/after over the same verified pairs.
+    // Step-8 verification cost: the wall-time the flow recorded (the
+    // production path, compiled backend; K rewrites inherit their
+    // sample's verdict) plus an interpreter-vs-compiled before/after over
+    // the same verified pairs.
     println!(
-        "Step-8 verification wall-time: vanilla {:.1} ms, K {:.1} ms (compiled settle probe)",
+        "Step-8 verification wall-time: {:.1} ms over {} captioned samples (compiled settle probe)",
         s.vanilla_verify_micros as f64 / 1e3,
-        s.k_verify_micros as f64 / 1e3,
+        s.captioned,
     );
     let (interp_ms, compiled_ms, n) = settle_probe_walls(&flow);
     println!(

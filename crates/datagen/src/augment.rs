@@ -7,7 +7,7 @@
 
 use std::sync::Arc;
 
-use haven_engine::{Artifact, Engine, EngineOptions, SimBackend};
+use haven_engine::{Artifact, Engine, SimBackend};
 use haven_lm::finetune::SampleKind;
 use haven_spec::describe::{describe, DescribeStyle};
 use haven_verilog::analyze::{analyze, Analysis};
@@ -162,6 +162,30 @@ pub struct VerifyStats {
     pub probe_lanes: usize,
 }
 
+impl VerifyStats {
+    /// Whether a single pair's tallies (see `verify_pair`) admit it.
+    pub(crate) fn admitted(&self) -> bool {
+        self.rejected_compile + self.rejected_static + self.rejected_budget == 0
+    }
+}
+
+impl std::ops::AddAssign for VerifyStats {
+    fn add_assign(&mut self, other: VerifyStats) {
+        self.rejected_compile += other.rejected_compile;
+        self.rejected_static += other.rejected_static;
+        self.rejected_budget += other.rejected_budget;
+        self.warned_xprop += other.warned_xprop;
+        self.warned_signrange += other.warned_signrange;
+        self.warned_cdc += other.warned_cdc;
+        self.warned_reset += other.warned_reset;
+        self.confirmed_value += other.confirmed_value;
+        self.unconfirmed_value += other.unconfirmed_value;
+        self.batched_probes += other.batched_probes;
+        self.scalar_probes += other.scalar_probes;
+        self.probe_lanes += other.probe_lanes;
+    }
+}
+
 /// Resource ceiling for the step-8 settle probe. Any legitimate training
 /// sample settles at time zero well inside these limits; a design that
 /// does not would stall every future consumer of the pair.
@@ -177,62 +201,60 @@ pub const SETTLE_BUDGET: SimBudget = SimBudget {
 /// [`haven_verilog::analyze_design`]), and settles at time zero within
 /// [`SETTLE_BUDGET`], reporting what was rejected at each gate.
 ///
-/// The whole gate runs through a shared [`haven_engine::Engine`] on the
-/// compiled backend: one `prepare` per pair climbs the ladder (compile →
-/// static report → bytecode, deduplicated by content for repeated code),
-/// and the settle probe is a session open on the artifact. Time-zero
-/// settle is verdict-identical to the reference interpreter (see the
-/// backend differential property tests), so the gate admits exactly the
-/// same pairs it always did, just faster.
+/// The whole gate runs through an uncached [`haven_engine::Engine`] on
+/// the compiled backend: one `prepare` per pair climbs the ladder
+/// (compile → static report → bytecode), and the settle probe is a
+/// session open on the artifact. Time-zero settle is verdict-identical
+/// to the reference interpreter (see the backend differential property
+/// tests), so the gate admits exactly the same pairs it always did, just
+/// faster. The tallies are the sum of each pair's own.
 pub fn verify_counted(pairs: Vec<InstructionCodePair>) -> (Vec<InstructionCodePair>, VerifyStats) {
-    let engine = Engine::new(EngineOptions {
-        backend: SimBackend::Compiled,
-        budget: SETTLE_BUDGET,
-        cache_capacity: 1024,
-        ..EngineOptions::default()
-    });
+    let engine = Engine::uncached(SimBackend::Compiled, SETTLE_BUDGET);
     let mut stats = VerifyStats::default();
     let kept = pairs
         .into_iter()
-        .filter(|p| match engine.prepare(&p.code) {
-            Err(_) => {
-                stats.rejected_compile += 1;
-                false
-            }
-            Ok(artifact) => {
-                if artifact.report.has_errors() {
-                    stats.rejected_static += 1;
-                    false
-                } else if !settle_probe(&engine, &artifact, &mut stats) {
-                    // Any settle failure — budget blown or a runtime
-                    // fault the analyzer could not prove — is tallied
-                    // here, exactly as direct construction counted it.
-                    stats.rejected_budget += 1;
-                    false
-                } else {
-                    // Admitted: tally the analyzer-v2 value findings so
-                    // dataset reports can break down residual warnings
-                    // by class and confirmation status.
-                    for finding in &artifact.report.findings {
-                        match finding.rule.code() {
-                            "SA-XPROP" => stats.warned_xprop += 1,
-                            "SA-SIGNRANGE" => stats.warned_signrange += 1,
-                            "SA-CDC" => stats.warned_cdc += 1,
-                            "SA-RESET" => stats.warned_reset += 1,
-                            _ => {}
-                        }
-                        match finding.confirmation {
-                            Confirmation::Confirmed => stats.confirmed_value += 1,
-                            Confirmation::Unconfirmed => stats.unconfirmed_value += 1,
-                            Confirmation::Structural => {}
-                        }
-                    }
-                    true
-                }
-            }
+        .filter(|p| {
+            let verdict = verify_pair(&engine, &p.code);
+            stats += verdict;
+            verdict.admitted()
         })
         .collect();
     (kept, stats)
+}
+
+/// Step 8 on one pair's code, prepared on `engine`: the tallies hold
+/// exactly one rejection, or none and the admitted pair's probe and
+/// value-finding counts.
+pub(crate) fn verify_pair(engine: &Engine, code: &str) -> VerifyStats {
+    let mut stats = VerifyStats::default();
+    match engine.prepare(code) {
+        Err(_) => stats.rejected_compile = 1,
+        Ok(artifact) if artifact.report.has_errors() => stats.rejected_static = 1,
+        // Any settle failure — budget blown or a runtime fault the
+        // analyzer could not prove — is tallied here, exactly as direct
+        // construction counted it.
+        Ok(artifact) if !settle_probe(engine, &artifact, &mut stats) => stats.rejected_budget = 1,
+        // Admitted: tally the analyzer-v2 value findings so dataset
+        // reports can break down residual warnings by class and
+        // confirmation status.
+        Ok(artifact) => {
+            for finding in &artifact.report.findings {
+                match finding.rule.code() {
+                    "SA-XPROP" => stats.warned_xprop += 1,
+                    "SA-SIGNRANGE" => stats.warned_signrange += 1,
+                    "SA-CDC" => stats.warned_cdc += 1,
+                    "SA-RESET" => stats.warned_reset += 1,
+                    _ => {}
+                }
+                match finding.confirmation {
+                    Confirmation::Confirmed => stats.confirmed_value += 1,
+                    Confirmation::Unconfirmed => stats.unconfirmed_value += 1,
+                    Confirmation::Structural => {}
+                }
+            }
+        }
+    }
+    stats
 }
 
 /// Step-8 settle probe: does the artifact settle at time zero inside

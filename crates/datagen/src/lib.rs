@@ -9,7 +9,7 @@
 //! | 5 — vanilla instruction–code pairs | [`corpus`] + [`augment::caption`] |
 //! | 6 — parser for topic matching | [`augment::match_exemplars`] |
 //! | 7 — data augmentation | [`augment::rewrite`] |
-//! | 8 — verification | [`augment::verify`] |
+//! | 8 — verification, once per captioned sample (rewrites inherit its verdict) | [`augment::verify`] |
 //! | 9–11 — logical expressions & templates | [`logic`] + [`qm`] |
 //! | 12 — instruction evolution | [`evolve`] |
 //!
