@@ -218,6 +218,7 @@ impl EvalRow {
 /// it is verdict-preserving, so this function asserts it.
 fn eval_workload(tasks: usize, n: usize, sweeps: usize) -> EvalRow {
     use haven_lm::model::CodeGenModel;
+    use haven_lm::perception::perceive;
     use haven_spec::cosim::{cosimulate_artifact, CosimOptions};
     use haven_spec::stimuli::stimuli_for;
 
@@ -255,10 +256,12 @@ fn eval_workload(tasks: usize, n: usize, sweeps: usize) -> EvalRow {
 
     let mut corpus: Vec<(usize, String)> = Vec::new();
     for (ti, task) in base.iter().enumerate() {
+        let perception = perceive(&task.prompt).ok();
         for &temperature in &temperatures {
             let model = CodeGenModel::new(profile.clone(), temperature);
             for sample in 0..n {
-                corpus.push((ti, model.generate(&task.prompt, &task.id, sample)));
+                let (src, _) = model.generate_perceived(perception.as_ref(), &task.id, sample);
+                corpus.push((ti, src));
             }
         }
     }

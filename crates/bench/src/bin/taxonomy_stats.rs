@@ -15,6 +15,7 @@ use haven::taxonomy::HallucinationClass;
 use haven_bench::scale_from_args;
 use haven_eval::report::Table;
 use haven_lm::model::CodeGenModel;
+use haven_lm::perception::perceive;
 use haven_lm::profiles;
 use haven_sicot::SiCot;
 use haven_spec::cosim::cosimulate;
@@ -48,10 +49,11 @@ fn main() {
             } else {
                 task.prompt.clone()
             };
+            let perception = perceive(&prompt).ok();
             let stim = stimuli_for(&task.spec, task.stim_seed);
             for i in 0..samples {
                 total += 1;
-                let src = model.generate(&prompt, &task.id, i);
+                let (src, _) = model.generate_perceived(perception.as_ref(), &task.id, i);
                 let report = cosimulate(&task.spec, &src, &stim);
                 if report.verdict.functional_ok() {
                     continue;

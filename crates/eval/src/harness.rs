@@ -20,6 +20,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 use haven_lm::model::CodeGenModel;
+use haven_lm::perception::{perceive, Perception};
 use haven_lm::profiles::ModelProfile;
 use haven_sicot::SiCot;
 
@@ -710,6 +711,9 @@ fn run_task(
             SiCot::new(refiner).refine(&task.prompt, &task.id).text
         }
     };
+    // The reading depends on the prompt alone: one per task and
+    // temperature, shared by every sample and retry.
+    let perception = perceive(&prompt).ok();
     let mut r = TaskResult {
         task_id: task.id.clone(),
         n: cfg.n,
@@ -725,7 +729,7 @@ fn run_task(
                     oracle,
                     fingerprint_key,
                     &model,
-                    &prompt,
+                    perception.as_ref(),
                     task,
                     cfg,
                     temperature,
@@ -776,7 +780,7 @@ fn evaluate_sample(
     oracle: Option<&FormalOracle>,
     fingerprint_key: u64,
     model: &CodeGenModel,
-    prompt: &str,
+    perception: Option<&Perception>,
     task: &BenchTask,
     cfg: &EvalConfig,
     temperature: f64,
@@ -792,7 +796,7 @@ fn evaluate_sample(
     if fault == Some(FaultKind::WorkerPanic) {
         panic!("injected fault: worker panic at {}#{sample}", task.id);
     }
-    let mut source = model.generate(prompt, &task.id, sample);
+    let (mut source, _) = model.generate_perceived(perception, &task.id, sample);
     if fault == Some(FaultKind::SourceCorruption) {
         source = corrupt_source(&source);
     }

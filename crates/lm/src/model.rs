@@ -1,13 +1,14 @@
 //! The simulated CodeGen-LLM.
 //!
-//! Generation pipeline per sample:
+//! Generation pipeline:
 //!
-//! 1. [`perceive`] the prompt faithfully;
-//! 2. decide, channel by channel, whether this sample hallucinates there
-//!    (Bernoulli draw against
-//!    [`effective_success`], which mixes
-//!    the model's skill, a per-task latent difficulty and the sampling
-//!    temperature);
+//! 1. [`perceive`] the prompt faithfully — once per prompt: every sample
+//!    of that prompt shares the reading
+//!    ([`CodeGenModel::generate_perceived`]);
+//! 2. per sample, decide, channel by channel, whether this sample
+//!    hallucinates there (Bernoulli draw against [`effective_success`],
+//!    which mixes the model's skill, a per-task latent difficulty and the
+//!    sampling temperature);
 //! 3. apply the matching corruption operators to the generation plan;
 //! 4. render the plan to Verilog.
 //!
@@ -97,16 +98,25 @@ impl CodeGenModel {
         task_id: &str,
         sample: usize,
     ) -> (String, GenTrace) {
+        self.generate_perceived(perceive(prompt).ok().as_ref(), task_id, sample)
+    }
+
+    /// Generates one sample from an already [`perceive`]d prompt, so a
+    /// caller drawing many samples of one prompt reads it once. `None` (an
+    /// unperceivable prompt) takes the fallback path with
+    /// `perceived: false`.
+    pub fn generate_perceived(
+        &self,
+        perception: Option<&Perception>,
+        task_id: &str,
+        sample: usize,
+    ) -> (String, GenTrace) {
         let mut trace = GenTrace {
             decisions: Vec::new(),
-            perceived: true,
+            perceived: perception.is_some(),
         };
-        let perception = match perceive(prompt) {
-            Ok(p) => p,
-            Err(_) => {
-                trace.perceived = false;
-                return (self.fallback_completion(prompt, task_id, sample), trace);
-            }
+        let Some(perception) = perception else {
+            return (self.fallback_completion(task_id, sample), trace);
         };
         let mut plan = GenPlan::faithful(perception.spec.clone());
         let sample_key = sample.to_string();
@@ -193,7 +203,7 @@ impl CodeGenModel {
                 hallucinate::corrupt_instruction(&mut plan, &mut rng);
             }
         }
-        if exercises_corner_cases(&perception) {
+        if exercises_corner_cases(perception) {
             let skill = self.profile.skills.channel(Channel::LogicCornerCase);
             if decide(self, &mut trace, Channel::LogicCornerCase, skill, 1.0) {
                 let mut rng =
@@ -247,7 +257,7 @@ impl CodeGenModel {
     /// When the prompt cannot be understood, real models still emit
     /// *something*; ours emits a syntactically valid stub that will fail
     /// functionally (or an outright broken snippet at low syntax skill).
-    fn fallback_completion(&self, _prompt: &str, task_id: &str, sample: usize) -> String {
+    fn fallback_completion(&self, task_id: &str, sample: usize) -> String {
         let mut rng = rng_for(&[&self.profile.name, task_id, &sample.to_string(), "fallback"]);
         if rng.gen::<f64>() > self.profile.skills.channel(Channel::KnowledgeSyntax) {
             "def module():\n    pass\n".to_string()

@@ -491,7 +491,12 @@ impl Engine {
             // it — warm restart must not re-pay yesterday's inference.
             std::thread::sleep(self.config.inference_latency.min(clock.remaining()));
         }
-        let mut source = self.model.generate(&refined.text, &gen_id, 0);
+        // One reading of the normalized prompt per miss: it steers
+        // generation here and supplies the golden spec at simulate.
+        let perception = perceive(&refined.text);
+        let (mut source, _) = self
+            .model
+            .generate_perceived(perception.as_ref().ok(), &gen_id, 0);
         trace.generate_us = t.elapsed().as_micros() as u64;
         if let Err(r) = clock.check(Stage::Generate) {
             return deadline(r, sicot_steps, trace);
@@ -585,7 +590,7 @@ impl Engine {
             return deadline(r, sicot_steps, trace);
         }
         let t = Instant::now();
-        let verdict = match perceive(&refined.text) {
+        let verdict = match &perception {
             Err(e) => ServeVerdict::Unchecked {
                 reason: e.to_string(),
             },
