@@ -174,12 +174,12 @@ fn main() {
     }
     println!("{}", t2.render());
 
-    // Step-8 verification cost: the wall-time the flow recorded (the
-    // production path, compiled backend; K rewrites inherit their
-    // sample's verdict) plus an interpreter-vs-compiled before/after over
-    // the same verified pairs.
+    // Step-8 verification cost: the per-sample time the flow recorded,
+    // summed across its parallel workers (the production path, compiled
+    // backend; K rewrites inherit their sample's verdict) plus an
+    // interpreter-vs-compiled before/after over the same verified pairs.
     println!(
-        "Step-8 verification wall-time: {:.1} ms over {} captioned samples (compiled settle probe)",
+        "Step-8 verification time, summed per sample: {:.1} ms over {} captioned samples (compiled settle probe)",
         s.vanilla_verify_micros as f64 / 1e3,
         s.captioned,
     );

@@ -13,6 +13,8 @@ use haven_spec::{builders, Spec};
 use haven_verilog::analyze::ResetKind;
 use haven_verilog::ast::{BinaryOp, Edge};
 
+use crate::par;
+
 /// Quality class of a corpus file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Quality {
@@ -62,51 +64,80 @@ impl Default for CorpusConfig {
 }
 
 /// Synthesizes the corpus. Deterministic in `seed`.
+///
+/// The seeded stream is drawn sequentially, one sample after another;
+/// the drawn samples are then rendered to source text on every core.
 pub fn generate(cfg: &CorpusConfig, seed: u64) -> Vec<CorpusSample> {
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x636f_7270);
-    (0..cfg.size).map(|id| sample(id, cfg, &mut rng)).collect()
+    generate_on(cfg, seed, par::workers())
 }
 
-fn sample(id: usize, cfg: &CorpusConfig, rng: &mut StdRng) -> CorpusSample {
+/// [`generate`] with the rendering on `workers` threads.
+fn generate_on(cfg: &CorpusConfig, seed: u64, workers: usize) -> Vec<CorpusSample> {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x636f_7270);
+    let (mut corpus, recipes): (Vec<CorpusSample>, Vec<Recipe>) =
+        (0..cfg.size).map(|id| draw(id, cfg, &mut rng)).unzip();
+    let sources = par::par_map(&corpus, workers, |sample| {
+        let spec = sample
+            .spec
+            .as_ref()
+            .expect("drawn samples carry their spec");
+        recipes[sample.id].render(spec)
+    });
+    for (sample, source) in corpus.iter_mut().zip(sources) {
+        sample.source = source;
+    }
+    corpus
+}
+
+/// How a drawn sample's source text is rendered from its spec.
+enum Recipe {
+    /// A structural adder of this width (see [`hierarchical_adder_source`]).
+    Hierarchical(usize),
+    /// The correct emission, broken by edit `0..4` (see [`broken_source`]).
+    Broken(u8),
+    /// The spec emitted in this style.
+    Emit(EmitStyle),
+}
+
+impl Recipe {
+    fn render(&self, spec: &Spec) -> String {
+        match self {
+            Recipe::Hierarchical(width) => hierarchical_adder_source(&spec.name, *width),
+            Recipe::Broken(edit) => broken_source(spec, *edit),
+            Recipe::Emit(style) => emit(spec, style),
+        }
+    }
+}
+
+/// Draws one sample from the seeded stream: everything but its source
+/// text, which the returned recipe renders.
+fn draw(id: usize, cfg: &CorpusConfig, rng: &mut StdRng) -> (CorpusSample, Recipe) {
     // A slice of real repositories is hierarchical: structural adders
     // built from full-adder submodules. These exercise instance
     // flattening through the captioning/verification path.
-    if rng.gen_bool(0.06) {
+    let (spec, quality, recipe) = if rng.gen_bool(0.06) {
         let width = rng.gen_range(2..=6usize);
         let spec = haven_spec::builders::adder(&format!("gh_{id:05}"), width);
-        return CorpusSample {
-            id,
-            source: hierarchical_adder_source(&spec.name, width),
-            quality: Quality::Clean,
-            spec: Some(spec),
-        };
-    }
-    let spec = random_spec(rng, id);
-    let roll: f64 = rng.gen();
-    if roll < cfg.broken_rate {
-        let source = broken_source(&spec, rng);
-        CorpusSample {
-            id,
-            source,
-            quality: Quality::Broken,
-            spec: Some(spec),
-        }
-    } else if roll < cfg.broken_rate + cfg.unconventional_rate {
-        let style = unconventional_style(rng);
-        CorpusSample {
-            id,
-            source: emit(&spec, &style),
-            quality: Quality::Unconventional,
-            spec: Some(spec),
-        }
+        (spec, Quality::Clean, Recipe::Hierarchical(width))
     } else {
-        CorpusSample {
-            id,
-            source: emit(&spec, &EmitStyle::correct()),
-            quality: Quality::Clean,
-            spec: Some(spec),
+        let spec = random_spec(rng, id);
+        let roll: f64 = rng.gen();
+        if roll < cfg.broken_rate {
+            (spec, Quality::Broken, Recipe::Broken(rng.gen_range(0..4u8)))
+        } else if roll < cfg.broken_rate + cfg.unconventional_rate {
+            let style = unconventional_style(rng);
+            (spec, Quality::Unconventional, Recipe::Emit(style))
+        } else {
+            (spec, Quality::Clean, Recipe::Emit(EmitStyle::correct()))
         }
-    }
+    };
+    let sample = CorpusSample {
+        id,
+        source: String::new(),
+        quality,
+        spec: Some(spec),
+    };
+    (sample, recipe)
 }
 
 fn random_spec(rng: &mut StdRng, id: usize) -> Spec {
@@ -243,9 +274,9 @@ endmodule
     )
 }
 
-fn broken_source(spec: &Spec, rng: &mut StdRng) -> String {
+fn broken_source(spec: &Spec, edit: u8) -> String {
     let good = emit(spec, &EmitStyle::correct());
-    match rng.gen_range(0..4u8) {
+    match edit {
         0 => good.replacen("endmodule", "", 1),
         1 => match good.match_indices(';').nth(1) {
             Some((i, _)) => {
@@ -267,6 +298,39 @@ fn broken_source(spec: &Spec, rng: &mut StdRng) -> String {
 mod tests {
     use super::*;
     use haven_verilog::elab::compile;
+
+    /// `content_key` over every sample's id, source and quality.
+    fn corpus_key(corpus: &[CorpusSample]) -> u64 {
+        let parts: Vec<String> = corpus
+            .iter()
+            .flat_map(|s| {
+                [
+                    s.id.to_string(),
+                    s.source.clone(),
+                    format!("{:?}", s.quality),
+                ]
+            })
+            .collect();
+        let parts: Vec<&str> = parts.iter().map(String::as_str).collect();
+        haven_hash::content_key(&parts)
+    }
+
+    #[test]
+    fn the_seeded_stream_is_pinned_and_worker_independent() {
+        let cfg = CorpusConfig::default();
+        let pinned = [
+            (
+                crate::flow::FlowConfig::default().seed,
+                0xc11a_3bb6_8a14_e20b,
+            ),
+            (1, 0x80db_befa_f0a5_08d2),
+        ];
+        for (seed, key) in pinned {
+            let corpus = generate(&cfg, seed);
+            assert_eq!(corpus_key(&corpus), key, "seed {seed}");
+            assert_eq!(corpus, generate_on(&cfg, seed, 1), "seed {seed}");
+        }
+    }
 
     #[test]
     fn corpus_is_deterministic_and_sized() {

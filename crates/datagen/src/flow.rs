@@ -17,6 +17,7 @@ use crate::exemplars;
 use crate::logic::{self, LogicConfig};
 use crate::pairs::Dataset;
 use crate::pairs::InstructionCodePair;
+use crate::par;
 
 /// Flow parameters. Defaults reproduce the paper's 550k → 43k → 14k/5k
 /// funnel at 1:100 scale.
@@ -114,9 +115,11 @@ pub struct FlowStats {
     /// Formal queries left undecided (taint, SAT budget, unsupported);
     /// the pair is kept — `Unknown` never silently rejects.
     pub formal_unknown: usize,
-    /// Wall-time of the step-8 verification gate, in microseconds: one
+    /// Time spent in the step-8 verification gate, in microseconds: one
     /// prepare (compile + static analysis + bytecode) plus the
-    /// compiled-backend settle probe per captioned sample, summed. K-side
+    /// compiled-backend settle probe per captioned sample, each timed on
+    /// its own and summed. Samples are verified in parallel, so this is
+    /// summed per-sample time across workers, not wall time. K-side
     /// rewrites inherit their sample's verdict, so this covers both
     /// sides. Excluded from equality.
     pub vanilla_verify_micros: u64,
@@ -191,41 +194,42 @@ impl FlowOutput {
 }
 
 /// Runs the whole Fig. 2 flow.
+///
+/// The corpus is drawn sequentially from the seed; rendering it and the
+/// per-sample steps 5–8 run on every core and are merged in corpus
+/// order, so the output does not depend on the number of cores.
 pub fn run(cfg: &FlowConfig) -> FlowOutput {
     // Step 8 prepares each captioned sample exactly once, so an artifact
     // cache would only ever miss and evict.
     let engine = Engine::uncached(SimBackend::Compiled, SETTLE_BUDGET);
-    run_on(cfg, corpus::generate(&cfg.corpus, cfg.seed), &engine).0
+    let corpus = corpus::generate(&cfg.corpus, cfg.seed);
+    run_on(cfg, corpus, &engine, par::workers()).0
 }
 
 /// Runs the flow from step 5 on over a given corpus, with step 8 on
-/// `engine`. Also returns step 8's vanilla- and K-side tallies.
+/// `engine` and the per-sample work on `workers` threads. Also returns
+/// step 8's vanilla- and K-side tallies.
 fn run_on(
     cfg: &FlowConfig,
     corpus: Vec<CorpusSample>,
     engine: &Engine,
+    workers: usize,
 ) -> (FlowOutput, [VerifyStats; 2]) {
     let library = exemplars::library();
 
-    // Steps 5–8, one sample at a time: caption, verify, and — if the code
-    // compiled — match and rewrite. A rewrite keeps its sample's code, so
-    // it inherits the sample's step-8 verdict and tallies.
-    let (mut vanilla_pairs, mut k_pairs) = (Vec::new(), Vec::new());
-    let (mut vanilla_verify, mut k_verify) = (VerifyStats::default(), VerifyStats::default());
-    let (mut n_captioned, mut matched) = (0usize, 0usize);
-    let mut verify_time = Duration::ZERO;
-    for sample in &corpus {
-        let Some(pair) = caption(sample) else {
-            continue;
-        };
-        n_captioned += 1;
+    // Steps 5–8, each sample on its own: caption, verify, and — if the
+    // code compiled — match and rewrite. The result is boxed so that the
+    // samples the captioner drops (most of them) cost a null pointer
+    // until the merge.
+    let per_sample = par::par_map(&corpus, workers, |sample| {
+        let pair = caption(sample)?;
         let t = Instant::now();
         let verdict = verify_pair(engine, &pair.code);
-        verify_time += t.elapsed();
-        vanilla_verify += verdict;
+        let time = t.elapsed();
+        let (mut matched, mut rewrites) = (false, Vec::new());
         if verdict.rejected_compile == 0 {
             let (_, hits) = match_exemplars(&pair, &library);
-            matched += usize::from(!hits.is_empty());
+            matched = !hits.is_empty();
             // "If a vanilla instruction is associated with multiple
             // exemplars, it is rewritten separately for each exemplar" —
             // capped at 2, and only pairs whose analysis recovered a
@@ -233,13 +237,28 @@ fn run_on(
             // funnel near the paper's 43k → 14k ratio.
             for e in hits.into_iter().take(2) {
                 if rewrite_accepted(sample.id, &e.id) {
-                    if let Some(rw) = rewrite(&pair, e, sample) {
-                        k_verify += verdict;
-                        if verdict.admitted() {
-                            k_pairs.push(rw);
-                        }
-                    }
+                    rewrites.extend(rewrite(&pair, e, sample));
                 }
+            }
+        }
+        Some(Box::new((pair, verdict, time, matched, rewrites)))
+    });
+
+    // Merge in corpus order. A rewrite keeps its sample's code, so it
+    // inherits the sample's step-8 verdict and tallies.
+    let (mut vanilla_pairs, mut k_pairs) = (Vec::new(), Vec::new());
+    let (mut vanilla_verify, mut k_verify) = (VerifyStats::default(), VerifyStats::default());
+    let (mut n_captioned, mut matched) = (0usize, 0usize);
+    let mut verify_time = Duration::ZERO;
+    for (pair, verdict, time, sample_matched, rewrites) in per_sample.flatten().map(|b| *b) {
+        n_captioned += 1;
+        verify_time += time;
+        vanilla_verify += verdict;
+        matched += usize::from(sample_matched);
+        for rw in rewrites {
+            k_verify += verdict;
+            if verdict.admitted() {
+                k_pairs.push(rw);
             }
         }
         if verdict.admitted() {
@@ -363,9 +382,10 @@ mod tests {
         Engine::uncached(SimBackend::Compiled, SETTLE_BUDGET)
     }
 
-    /// [`super::run_on`] on a fresh step-8 engine, without the tallies.
+    /// [`super::run_on`] on a fresh step-8 engine and 4 workers, without
+    /// the tallies.
     fn run_on(cfg: &FlowConfig, corpus: Vec<CorpusSample>) -> FlowOutput {
-        super::run_on(cfg, corpus, &step8_engine()).0
+        super::run_on(cfg, corpus, &step8_engine(), 4).0
     }
 
     /// The flow as it ran before it went sample-major, rebuilt from
@@ -460,15 +480,22 @@ mod tests {
                     formal_verify,
                     ..cfg.clone()
                 };
-                let (out, tallies) = super::run_on(&cfg, corpus.clone(), &step8_engine());
                 let (reference, reference_tallies) = two_pass(&cfg, &corpus);
-                assert_eq!(out, reference, "seed {} formal {formal_verify}", cfg.seed);
-                // All twelve counters, probe and warning tallies included:
-                // each rewrite's inherited verdict adds up to what a
-                // second verification of the K batch counts.
-                assert_eq!(tallies, reference_tallies, "seed {}", cfg.seed);
-                let k = tallies[1];
-                assert!(k.batched_probes > 0 && k.scalar_probes > 0, "{k:?}");
+                // The merge is in corpus order, so the worker count
+                // changes nothing.
+                for workers in [1, 4] {
+                    let (out, tallies) =
+                        super::run_on(&cfg, corpus.clone(), &step8_engine(), workers);
+                    let what =
+                        format!("seed {} formal {formal_verify} workers {workers}", cfg.seed);
+                    assert_eq!(out, reference, "{what}");
+                    // All twelve counters, probe and warning tallies
+                    // included: each rewrite's inherited verdict adds up
+                    // to what a second verification of the K batch counts.
+                    assert_eq!(tallies, reference_tallies, "{what}");
+                    let k = tallies[1];
+                    assert!(k.batched_probes > 0 && k.scalar_probes > 0, "{k:?}");
+                }
             }
         }
     }
@@ -477,7 +504,7 @@ mod tests {
     fn step_8_prepares_each_captioned_sample_once() {
         let cfg = FlowConfig::small(1);
         let engine = step8_engine();
-        let (out, _) = super::run_on(&cfg, corpus_with_defects(&cfg), &engine);
+        let (out, _) = super::run_on(&cfg, corpus_with_defects(&cfg), &engine, 4);
         let s = out.stats;
         assert!(s.k_pairs + s.k_rejected_static > 0, "{s:?}");
         assert_eq!(engine.stats().misses, s.captioned as u64, "{s:?}");

@@ -325,6 +325,10 @@ impl Server {
         }
         self.shared.wake.notify_all();
         if let Some(watchdog) = self.watchdog.take() {
+            // Cut the watchdog's poll short so it sees the drained queue
+            // now, not a poll later. Unparking (rather than notifying
+            // `wake`) cannot steal a wake-up meant for a worker.
+            watchdog.thread().unpark();
             let _ = watchdog.join();
         }
         let workers = std::mem::take(&mut *self.shared.workers.lock().expect("workers lock"));
@@ -415,7 +419,8 @@ fn finish_job(shared: &Shared) {
 /// Scans the in-flight registry for jobs running longer than `stall`,
 /// resolves each with a typed failure, and recycles the wedged worker by
 /// spawning a replacement. The stalled thread itself eventually wakes,
-/// loses the delivery race, and retires.
+/// loses the delivery race, and retires. Between scans it parks, so
+/// `shutdown` can wake it early with an unpark.
 fn watchdog_loop(shared: &Arc<Shared>, stall: Duration) {
     let poll = (stall / 8).max(Duration::from_millis(1));
     loop {
@@ -463,7 +468,7 @@ fn watchdog_loop(shared: &Arc<Shared>, stall: Duration) {
             finish_job(shared);
             spawn_worker(shared);
         }
-        std::thread::sleep(poll);
+        std::thread::park_timeout(poll);
     }
 }
 

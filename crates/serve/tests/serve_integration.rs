@@ -2,7 +2,7 @@
 //! faults and deadlines, cache soundness, and worker-count invariance.
 
 use std::sync::mpsc::channel;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use haven_eval::{FaultPlan, RetryPolicy};
 use haven_lm::model::CodeGenModel;
@@ -343,4 +343,17 @@ fn metrics_text_snapshot_renders_after_traffic() {
     ] {
         assert!(text.contains(needle), "missing {needle} in:\n{text}");
     }
+}
+
+#[test]
+fn shutdown_does_not_wait_out_the_watchdog_poll() {
+    let config = ServeConfig::default();
+    let poll = config.stall_timeout.expect("watchdog on by default") / 8;
+    let mut server = Server::start(model("idle"), config);
+    // Let the watchdog finish its first scan and park for a full poll.
+    std::thread::sleep(Duration::from_millis(20));
+    let t = Instant::now();
+    server.shutdown();
+    let took = t.elapsed();
+    assert!(took < poll / 2, "shutdown took {took:?} (poll {poll:?})");
 }
